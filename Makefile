@@ -10,8 +10,14 @@ build:
 test:
 	$(GO) test ./...
 
+# Race suite, then the scheduling-sensitive tests again at 1, 2 and 4
+# Ps: shared-notifier FIFO, concurrent stats snapshots and the cluster's
+# frame admission only misbehave when goroutines really run in parallel
+# (or really do not), which a single-core run never shows.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -cpu 1,2,4 -count=20 -run 'Steal|StatsConcurrent' ./dataplane
+	$(GO) test -race -cpu 1,2,4 -count=20 ./internal/cluster
 
 vet:
 	$(GO) vet ./...
@@ -47,11 +53,12 @@ chaos-durable:
 # Federation chaos: the partition drill (3 nodes, one killed mid-stream;
 # survivors must converge, re-home the dead node's tenants, and preserve
 # exactly-once on deliberately double-sent ids) and graceful handoff
-# under load, repeated under the race detector. The frame fuzz smoke
-# hammers the bridge decoder with corrupt frames — it must error, never
-# panic.
+# under load, repeated under the race detector, with the frame-admission
+# tests (in-frame duplicates, ring-full retries, opposed shard orders
+# from two connections). The frame fuzz smoke hammers the bridge decoder
+# with corrupt frames — it must error, never panic.
 chaos-fed:
-	$(GO) test -race -run ChaosFed -count=3 ./internal/cluster
+	$(GO) test -race -run 'ChaosFed|AdmitFrame|CrossShard' -count=3 ./internal/cluster
 	$(GO) test -run FuzzDecode -fuzz FuzzDecode -fuzztime 10s ./internal/cluster/frame
 
 # Federation smoke: the federated-plane example end to end — three nodes

@@ -113,6 +113,10 @@ func main() {
 	if *workers == 0 {
 		cfg.Plane.Workers = *tenants
 	}
+	// A federated edge has two producers per tenant ring: the stager
+	// flush (anonymous local traffic) and the cluster node (bridge
+	// arrivals and keyed local requests, under its dedup shard).
+	cfg.Plane.SharedIngress = *nodeID != ""
 	if *durableDir != "" {
 		cfg.Plane.Durable = dataplane.DurableConfig{Dir: *durableDir}
 	}

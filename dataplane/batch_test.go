@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -344,5 +345,82 @@ func TestDispatchZeroAllocs(t *testing.T) {
 	// per-item (or per-batch) allocation crept into the hot path.
 	if avg >= 1 {
 		t.Errorf("allocs per %d-item burst = %v, want 0", burst, avg)
+	}
+}
+
+// TestIngressBatchRejectedNamesRefusals: a mixed-tenant batch with a
+// full ring, a bad tenant and a forwarded tenant in it reports exactly
+// the refused items, by index, and agrees with IngressBatch's count.
+func TestIngressBatchRejectedNamesRefusals(t *testing.T) {
+	block := make(chan struct{})
+	p, err := New(Config{
+		Tenants:      4,
+		Workers:      1,
+		RingCapacity: 4,
+		Handler: func(_ int, payload []byte) ([]byte, error) {
+			<-block
+			return payload, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Start()
+	defer p.Stop()
+	defer close(block)
+	// Tenant 3 forwards, taking the first two items of any run.
+	if err := p.SetTenantForward(3, func(items []IngressItem) int { return min(2, len(items)) }); err != nil {
+		t.Fatal(err)
+	}
+	// Wedge the worker on tenant 0 so nothing drains behind the test.
+	if !p.Ingress(0, []byte{0}) {
+		t.Fatal("seed ingress refused")
+	}
+	waitFor(t, 5*time.Second, func() bool { return p.Stats().Backlog == 0 })
+
+	var items []IngressItem
+	add := func(tenant, n int) {
+		for i := 0; i < n; i++ {
+			items = append(items, IngressItem{Tenant: tenant, Payload: []byte{byte(tenant)}})
+		}
+	}
+	add(1, 6)  // 0..5: ring of 4 takes 0..3
+	add(2, 1)  // 6: fits
+	add(9, 2)  // 7, 8: no such tenant
+	add(1, 1)  // 9: tenant 1's ring is still full
+	add(3, 3)  // 10..12: the forward takes two
+	add(-1, 1) // 13: no such tenant
+	want := []int{4, 5, 7, 8, 9, 12, 13}
+
+	n, rej := p.IngressBatchRejected(items, []int{99})
+	if n != len(items)-len(want) {
+		t.Errorf("accepted %d, want %d", n, len(items)-len(want))
+	}
+	if rej[0] != 99 {
+		t.Errorf("rejected indexes must be appended: got %v", rej)
+	}
+	if got := rej[1:]; !slices.Equal(got, want) {
+		t.Errorf("rejected = %v, want %v", got, want)
+	}
+	// The plain call counts the same way: tenant 1 is full now, tenant 2
+	// has room for its one, the forward takes its two.
+	if n := p.IngressBatch(items); n != 3 {
+		t.Errorf("IngressBatch on a second offer accepted %d, want 3", n)
+	}
+}
+
+// TestIngressBatchRejectedAfterStop: a stopped plane refuses every item
+// by index.
+func TestIngressBatchRejectedAfterStop(t *testing.T) {
+	p, err := New(Config{Tenants: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Start()
+	p.Stop()
+	items := []IngressItem{{Tenant: 0}, {Tenant: 1}, {Tenant: 0}}
+	n, rej := p.IngressBatchRejected(items, nil)
+	if n != 0 || !slices.Equal(rej, []int{0, 1, 2}) {
+		t.Errorf("stopped plane: accepted %d rejected %v, want 0 [0 1 2]", n, rej)
 	}
 }

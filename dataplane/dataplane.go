@@ -934,9 +934,27 @@ var runPool = sync.Pool{New: func() any { return new([64]item) }}
 // accepted; items for invalid tenants or full rings are dropped, like
 // Ingress. After Stop returns it deterministically accepts nothing.
 func (p *Plane) IngressBatch(items []IngressItem) int {
+	return p.ingressBatch(items, nil)
+}
+
+// IngressBatchRejected is IngressBatch for a caller that must know WHICH
+// items of a mixed-tenant batch were refused (the cluster bridge
+// remembers a message id only once its item is in the plane): the
+// indexes of the refused items are appended to rejected in ascending
+// order, and the accepted count is returned with it.
+func (p *Plane) IngressBatchRejected(items []IngressItem, rejected []int) (int, []int) {
+	n := p.ingressBatch(items, &rejected)
+	return n, rejected
+}
+
+// ingressBatch is the one batched push loop. Every same-tenant run is
+// accepted as a prefix, so with rej set the refused items of a run are
+// exactly its tail.
+func (p *Plane) ingressBatch(items []IngressItem, rej *[]int) int {
 	p.ingressing.Add(1)
 	defer p.ingressing.Add(-1)
 	if p.stopped.Load() {
+		refuse(rej, 0, len(items))
 		return 0
 	}
 	// Over-count up front (see Ingress) and settle after the loop.
@@ -961,6 +979,7 @@ func (p *Plane) IngressBatch(items []IngressItem) int {
 			j++
 		}
 		if tenant < 0 || tenant >= p.cfg.Tenants {
+			refuse(rej, i, j)
 			i = j
 			continue
 		}
@@ -969,7 +988,9 @@ func (p *Plane) IngressBatch(items []IngressItem) int {
 			// the remote owner ingresses (and counts) them, so they are
 			// excluded from this plane's ingressed/completed balance —
 			// Drain must not wait for work that completes elsewhere.
-			forwarded += p.forwardRun(*fnp, items[i:j])
+			sent := p.forwardRun(*fnp, items[i:j])
+			forwarded += sent
+			refuse(rej, i+sent, j)
 			i = j
 			continue
 		}
@@ -1005,6 +1026,7 @@ func (p *Plane) IngressBatch(items []IngressItem) int {
 			}
 		}
 		accepted += pushed
+		refuse(rej, i+pushed, j)
 		if pushed > 0 {
 			p.m.Ingressed.Add(p.m.IngressStripe(), tenant, int64(pushed))
 		}
@@ -1031,6 +1053,17 @@ func (p *Plane) IngressBatch(items []IngressItem) int {
 		p.planPool.Put(plan)
 	}
 	return accepted + forwarded
+}
+
+// refuse records items[from:to) as refused for IngressBatchRejected; a
+// nil rej (plain IngressBatch) or an empty range is a no-op.
+func refuse(rej *[]int, from, to int) {
+	if rej == nil {
+		return
+	}
+	for k := from; k < to; k++ {
+		*rej = append(*rej, k)
+	}
 }
 
 // popOut dequeues from a tenant-side ring. Under DropOldest the ring has
@@ -1212,7 +1245,9 @@ func (p *Plane) runNotify(wk *worker) {
 		wk.pending = batch[:c]
 		for len(wk.pending) > 0 {
 			qid := wk.pending[0]
-			wk.pending = wk.pending[1:]
+			if !p.shared {
+				wk.pending = wk.pending[1:]
+			}
 			tenant := wk.tenantOf[qid]
 			// Handler dispatch: close the sampled notification span opened
 			// at Notify time. TakeStamp is a constant 0 (one nil check)
@@ -1220,7 +1255,7 @@ func (p *Plane) runNotify(wk *worker) {
 			if ts := wk.n.TakeStamp(qid); ts != 0 {
 				p.tel.RecordNotify(wk.id, tenant, int(qid), ts, time.Now().UnixNano())
 			}
-			if drain == 1 {
+			if drain == 1 && !p.shared {
 				it, got := p.devRings[tenant].Pop()
 				wk.n.Consume(qid)
 				if got {
@@ -1231,10 +1266,22 @@ func (p *Plane) runNotify(wk *worker) {
 				continue
 			}
 			n := p.devRings[tenant].PopBatch(wk.scratch[:p.drainBound(tenant, drain)])
-			wk.n.ConsumeN(qid, n)
+			if !p.shared {
+				wk.n.ConsumeN(qid, n)
+			}
 			if n > 0 {
 				p.handleBatch(wk, tenant, wk.scratch[:n])
 				clear(wk.scratch[:n]) // release payload references
+			}
+			if p.shared {
+				// In-service discipline: on a shared notifier Consume
+				// re-activates a still-backlogged tenant for EVERY worker,
+				// so it waits until the batch is delivered — otherwise a
+				// sibling can select the tenant, pop the next batch and
+				// deliver it first, breaking per-tenant FIFO. The QID stays
+				// in pending until then, so the crash path re-offers it.
+				wk.n.ConsumeN(qid, n)
+				wk.pending = wk.pending[1:]
 			}
 		}
 	}

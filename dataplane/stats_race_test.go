@@ -18,10 +18,13 @@ import (
 // transient undercounts from pre-count/undo bookkeeping).
 func TestStatsConcurrentSnapshots(t *testing.T) {
 	p, err := New(Config{
-		Tenants:    8,
-		Workers:    2,
-		Mode:       Notify,
-		Quarantine: QuarantineConfig{Threshold: 3, Backoff: time.Millisecond},
+		Tenants: 8,
+		Workers: 2,
+		Mode:    Notify,
+		// Both producers below hit every tenant: the default SPSC ingress
+		// rings admit one producer per tenant.
+		SharedIngress: true,
+		Quarantine:    QuarantineConfig{Threshold: 3, Backoff: time.Millisecond},
 		Handler: func(tenant int, payload []byte) ([]byte, error) {
 			if tenant == 7 {
 				return nil, errors.New("poisoned tenant")

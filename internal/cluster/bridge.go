@@ -47,6 +47,15 @@ type peer struct {
 	staged   int       // items in the open (unsealed) batch
 	stagedAt time.Time // when the open batch got its first item
 	outbox   []outFrame
+	// spare holds written-out batch buffers: sealing a batch hands the
+	// encoder's buffer to the outbox and takes one of these, so no frame
+	// is copied on its way to the socket.
+	spare [][]byte
+
+	// Writer-goroutine state: the drain in flight and its iovec view.
+	inflight []outFrame
+	iov      [][]byte
+	wbufs    net.Buffers
 
 	kick chan struct{} // size-1 writer nudge
 
@@ -123,10 +132,15 @@ func (pr *peer) flushLocked() {
 	if pr.staged == 0 {
 		return
 	}
-	f := pr.enc.Finish()
-	pr.enqueueLocked(outFrame{bytes: append([]byte(nil), f...), items: pr.staged})
+	pr.enc.Finish()
+	var spare []byte
+	if k := len(pr.spare); k > 0 {
+		spare, pr.spare = pr.spare[k-1], pr.spare[:k-1]
+	} else {
+		spare = make([]byte, 0, pr.enc.Len())
+	}
+	pr.enqueueLocked(outFrame{bytes: pr.enc.Swap(spare), items: pr.staged})
 	pr.staged = 0
-	pr.enc.Reset()
 }
 
 // enqueueLocked appends a frame to the bounded outbox, applying the
@@ -330,17 +344,23 @@ func (pr *peer) serveConn(conn net.Conn) {
 	}
 }
 
-// writeOutbox drains queued frames onto the connection. A failed write
-// puts the frame back at the head so the reconnect retries it; a frame
-// the socket accepted is treated as delivered and popped. That makes
-// the forward hop at-least-once across write *errors* but at-most-once
-// past a successful write: with no application-level ack, a frame the
-// receiver discards after the write (receiver crash, or a connection
-// torn down by an earlier corrupt/oversized frame) is lost without
-// retry and without a ForwardDropped count. The owner's dedup window
-// absorbs the duplicates retries can produce; end-to-end delivery
-// confirmation belongs to the layer above (the edge acks only what the
-// owner admitted).
+// maxSpare bounds the recycled batch buffers a peer keeps: one per frame
+// sealed between two writer drains, a handful at saturation.
+const maxSpare = 8
+
+// writeOutbox drains queued frames onto the connection: each pass takes
+// the whole outbox and writes it with one deadline and one vectored
+// write. After a failed write the frames the socket did not take in full
+// go back to the head so the reconnect retries them; a frame the socket
+// accepted is treated as delivered. That makes the forward hop
+// at-least-once across write *errors* but at-most-once past a
+// successful write: with no application-level ack, a frame the receiver
+// discards after the write (receiver crash, or a connection torn down
+// by an earlier corrupt/oversized frame) is lost without retry and
+// without a ForwardDropped count. The owner's dedup window absorbs the
+// duplicates retries can produce; end-to-end delivery confirmation
+// belongs to the layer above (the edge acks only what the owner
+// admitted).
 func (pr *peer) writeOutbox(conn net.Conn) error {
 	for {
 		pr.mu.Lock()
@@ -348,24 +368,44 @@ func (pr *peer) writeOutbox(conn net.Conn) error {
 			pr.mu.Unlock()
 			return nil
 		}
-		f := pr.outbox[0]
-		copy(pr.outbox, pr.outbox[1:])
-		pr.outbox = pr.outbox[:len(pr.outbox)-1]
+		pr.inflight, pr.outbox = pr.outbox, pr.inflight[:0]
 		pr.mu.Unlock()
 
+		pr.iov = pr.iov[:0]
+		for _, f := range pr.inflight {
+			pr.iov = append(pr.iov, f.bytes)
+		}
+		pr.wbufs = pr.iov // WriteTo consumes wbufs; iov keeps the backing array
 		conn.SetWriteDeadline(time.Now().Add(pr.n.healthTimeout))
-		if _, err := conn.Write(f.bytes); err != nil {
-			pr.mu.Lock()
-			pr.outbox = append(pr.outbox, outFrame{})
-			copy(pr.outbox[1:], pr.outbox)
-			pr.outbox[0] = f
-			pr.mu.Unlock()
+		wrote, err := pr.wbufs.WriteTo(conn)
+		pr.n.cm.ForwardBytes.Add(wrote)
+
+		pr.mu.Lock()
+		// Frames the socket took in full are done (and their buffers go
+		// back to the encoder), whether or not a later one failed.
+		sent := 0
+		for ; sent < len(pr.inflight) && wrote >= int64(len(pr.inflight[sent].bytes)); sent++ {
+			f := pr.inflight[sent]
+			wrote -= int64(len(f.bytes))
+			if f.items > 0 {
+				pr.n.cm.ForwardBatches.Add(1)
+				if len(pr.spare) < maxSpare {
+					pr.spare = append(pr.spare, f.bytes)
+				}
+			}
+		}
+		if err != nil {
+			// The rest returns to the head, ahead of anything queued
+			// meanwhile (the outbox may exceed its bound until the next
+			// enqueue applies the drop policy).
+			pr.inflight = append(pr.inflight[:copy(pr.inflight, pr.inflight[sent:])], pr.outbox...)
+			pr.inflight, pr.outbox = pr.outbox, pr.inflight
+		}
+		clear(pr.inflight)
+		pr.mu.Unlock()
+		if err != nil {
 			return err
 		}
-		if f.items > 0 {
-			pr.n.cm.ForwardBatches.Add(1)
-		}
-		pr.n.cm.ForwardBytes.Add(int64(len(f.bytes)))
 	}
 }
 

@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"errors"
 	"net"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -69,13 +71,7 @@ func TestOutboxDropOldest(t *testing.T) {
 	pr.mu.Lock()
 	first := pr.outbox[0].bytes
 	pr.mu.Unlock()
-	h, err := frame.ParseHeader(first, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	it := frame.IterBatch(first[frame.HeaderSize : frame.HeaderSize+h.Length])
-	_, id, _, ok := it.Next()
-	if !ok || id != 9 {
+	if id := firstID(t, first); id != 9 {
 		t.Fatalf("oldest surviving frame carries msg %d, want 9", id)
 	}
 }
@@ -99,10 +95,7 @@ func TestOutboxDropNewest(t *testing.T) {
 	pr.mu.Lock()
 	first := pr.outbox[0].bytes
 	pr.mu.Unlock()
-	h, _ := frame.ParseHeader(first, 0)
-	it := frame.IterBatch(first[frame.HeaderSize : frame.HeaderSize+h.Length])
-	_, id, _, ok := it.Next()
-	if !ok || id != 1 {
+	if id := firstID(t, first); id != 1 {
 		t.Fatalf("oldest frame carries msg %d, want 1 (DropNewest keeps the head)", id)
 	}
 	// A control frame always makes room, even under DropNewest.
@@ -414,5 +407,99 @@ func TestInboundBatchFeedsPlane(t *testing.T) {
 	got, ok = p.EgressWait(2)
 	if !ok || string(got) != "XXXXX-overwrite-XXX" {
 		t.Fatalf("tenant 2 payload = %q, %v", got, ok)
+	}
+}
+
+// cutConn accepts budget bytes, then fails every write — a connection
+// that dies in the middle of a vectored outbox drain.
+type cutConn struct {
+	net.Conn // nil: only the methods writeOutbox calls are implemented
+	budget   int
+	got      []byte
+}
+
+func (c *cutConn) SetWriteDeadline(time.Time) error { return nil }
+
+func (c *cutConn) Write(b []byte) (int, error) {
+	n := min(len(b), c.budget)
+	c.got = append(c.got, b[:n]...)
+	c.budget -= n
+	if n < len(b) {
+		return n, errors.New("cut")
+	}
+	return n, nil
+}
+
+// firstID returns the message id of a batch frame's first item.
+func firstID(t *testing.T, f []byte) uint64 {
+	t.Helper()
+	h, err := frame.ParseHeader(f, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	it := frame.IterBatch(f[frame.HeaderSize : frame.HeaderSize+h.Length])
+	_, id, _, ok := it.Next()
+	if !ok {
+		t.Fatal("empty batch frame")
+	}
+	return id
+}
+
+// TestWriteOutboxPartialDrain: the writer takes the whole outbox in one
+// vectored write. When the connection dies inside the second of three
+// frames, the first counts as sent, and the torn one and everything
+// behind it return to the head of the outbox, whole and in order, ahead
+// of a frame queued while the write was in flight; the retry then sends
+// them all, reusing the sent frames' buffers for the encoder.
+func TestWriteOutboxPartialDrain(t *testing.T) {
+	n, _ := newLoneNode(t, "a", nil) // FlushBatch 1: one frame per send
+	if err := n.AddPeer(PeerSpec{ID: "ghost", Addr: "127.0.0.1:1"}); err != nil {
+		t.Fatal(err)
+	}
+	pr := n.peers["ghost"]
+	for id := uint64(1); id <= 3; id++ {
+		pr.send(0, id, []byte("payload"))
+	}
+	pr.mu.Lock()
+	frameLen := len(pr.outbox[0].bytes)
+	pr.mu.Unlock()
+
+	cut := &cutConn{budget: frameLen + frameLen/2}
+	if err := pr.writeOutbox(cut); err == nil {
+		t.Fatal("write on a cut connection reported success")
+	}
+	pr.send(0, 4, []byte("payload")) // queued behind the retry
+	m := n.Metrics()
+	if got := m.ForwardBatches.Load(); got != 1 {
+		t.Fatalf("ForwardBatches = %d after the cut, want 1", got)
+	}
+	pr.mu.Lock()
+	var ids []uint64
+	for _, f := range pr.outbox {
+		ids = append(ids, firstID(t, f.bytes))
+	}
+	pr.mu.Unlock()
+	if !slices.Equal(ids, []uint64{2, 3, 4}) {
+		t.Fatalf("outbox after the cut holds ids %v, want [2 3 4]", ids)
+	}
+
+	whole := &cutConn{budget: 1 << 20}
+	if err := pr.writeOutbox(whole); err != nil {
+		t.Fatal(err)
+	}
+	if len(whole.got) != 3*frameLen || firstID(t, whole.got) != 2 {
+		t.Fatalf("retry wrote %d bytes starting at id %d, want %d bytes from id 2", len(whole.got), firstID(t, whole.got), 3*frameLen)
+	}
+	if got := m.ForwardBatches.Load(); got != 4 {
+		t.Fatalf("ForwardBatches = %d after the retry, want 4", got)
+	}
+	if got := pr.outboxLen(); got != 0 {
+		t.Fatalf("outbox holds %d frames after a clean drain", got)
+	}
+	pr.mu.Lock()
+	spares := len(pr.spare)
+	pr.mu.Unlock()
+	if spares == 0 {
+		t.Fatal("no sent frame buffer was kept for the encoder to reuse")
 	}
 }

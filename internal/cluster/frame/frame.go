@@ -318,6 +318,16 @@ func (e *Encoder) Finish() []byte {
 	return e.buf
 }
 
+// Swap replaces the encoder's buffer with spare (nil is fine) and returns
+// the old one, so a caller that queues finished frames can keep the
+// bytes Finish returned without copying them. The encoder is left reset.
+func (e *Encoder) Swap(spare []byte) []byte {
+	old := e.buf
+	e.buf = spare[:0]
+	e.Reset()
+	return old
+}
+
 // ---- batch decoding ----
 
 // BatchIter walks a verified batch payload without copying: Next yields

@@ -291,3 +291,48 @@ func TestStateRoundTrip(t *testing.T) {
 		t.Fatalf("ragged state parse = %v, want ErrCorrupt", err)
 	}
 }
+
+// TestEncoderSwap: Swap hands out the finished frame's buffer and
+// continues on the spare, so a queued frame is never overwritten by the
+// batch encoded after it.
+func TestEncoderSwap(t *testing.T) {
+	var e Encoder
+	e.Reset()
+	e.Add(1, 10, []byte("first"))
+	e.Finish()
+	spare := make([]byte, 0, 256)
+	first := e.Swap(spare)
+	if e.Items() != 0 || e.Len() != HeaderSize {
+		t.Fatalf("encoder not reset after Swap: items %d len %d", e.Items(), e.Len())
+	}
+	e.Add(2, 20, []byte("second"))
+	second := e.Finish()
+	if &second[0] != &spare[:1][0] {
+		t.Error("encoder did not continue on the spare buffer")
+	}
+	for _, want := range []struct {
+		f      []byte
+		tenant uint32
+		id     uint64
+		body   string
+	}{{first, 1, 10, "first"}, {second, 2, 20, "second"}} {
+		h, err := ParseHeader(want.f, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := CheckPayload(h, want.f[HeaderSize:]); err != nil {
+			t.Fatal(err)
+		}
+		it := IterBatch(want.f[HeaderSize:])
+		tenant, id, body, ok := it.Next()
+		if !ok || tenant != want.tenant || id != want.id || string(body) != want.body {
+			t.Errorf("frame decodes to %d/%d/%q, want %d/%d/%q", tenant, id, body, want.tenant, want.id, want.body)
+		}
+	}
+	// A nil spare is fine: the encoder allocates afresh.
+	e.Swap(nil)
+	e.Add(3, 30, []byte("third"))
+	if e.Items() != 1 {
+		t.Error("encoder unusable after Swap(nil)")
+	}
+}

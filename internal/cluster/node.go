@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/bits"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -69,7 +70,9 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// dedupShards stripes the per-tenant dedup windows' locks.
+// dedupShards stripes the per-tenant dedup windows' locks. Frame
+// admission ORs a frame's shards into one uint64 mask, so this cannot
+// exceed 64.
 const dedupShards = 64
 
 // Node federates a local dataplane with its peers: a consistent-hash
@@ -102,9 +105,15 @@ type Node struct {
 	overrides map[int]string // handoff reroutes, consulted before the ring
 	fwdTo     map[int]string // tenants whose plane forward targets a peer
 	peers     map[string]*peer
+	// owners flattens ring+overrides into the bridge to each tenant's
+	// owner (nil = this node owns it). Every n.mu write section that
+	// changes either republishes it; Ingress and the receive path read it
+	// without taking n.mu. Published tables are immutable.
+	owners atomic.Pointer[[]*peer]
 
-	dmu     [dedupShards]sync.Mutex
-	windows []*dedup.Window
+	dmu        [dedupShards]sync.Mutex
+	windows    []*dedup.Window
+	admissions sync.Pool // *admission scratch for local (single-item) admits
 
 	ln      net.Listener
 	connMu  sync.Mutex
@@ -189,6 +198,7 @@ func NewNode(cfg Config) (*Node, error) {
 		windows:        make([]*dedup.Window, cfg.Plane.Tenants()),
 		conns:          make(map[net.Conn]struct{}),
 	}
+	n.admissions.New = func() any { return new(admission) }
 	if n.logf == nil {
 		n.logf = func(string, ...any) {}
 	}
@@ -203,6 +213,7 @@ func NewNode(cfg Config) (*Node, error) {
 		n.peers[spec.ID] = newPeer(n, spec)
 		n.ring.Add(spec.ID)
 	}
+	n.publishOwnersLocked()
 	n.cm.PeerGauges = n.writePeerGauges
 	if cfg.Telemetry != nil {
 		cfg.Telemetry.AttachCollector(n.cm.WriteProm)
@@ -288,14 +299,44 @@ func (n *Node) Members() []string {
 }
 
 // Owner returns the node id owning tenant right now: a handoff override
-// if one is in force, the consistent-hash ring otherwise.
+// if one is in force, the consistent-hash ring otherwise ("" for a
+// tenant the plane does not have).
 func (n *Node) Owner(tenant int) string {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	if o, ok := n.overrides[tenant]; ok {
-		return o
+	tab := *n.owners.Load()
+	if uint(tenant) >= uint(len(tab)) {
+		return ""
 	}
-	return n.ring.Owner(tenant)
+	if pr := tab[tenant]; pr != nil {
+		return pr.id
+	}
+	return n.cfg.ID
+}
+
+// publishOwnersLocked recomputes ownership and publishes a fresh owner
+// table: every tenant after a membership change (no arguments), or just
+// the named tenants on a copy of the current table after an override
+// flip. Ring members and override targets are always this node or one
+// of n.peers. Caller holds n.mu for writing.
+func (n *Node) publishOwnersLocked(tenants ...int) {
+	tab := make([]*peer, len(n.windows))
+	set := func(t int) {
+		id, ok := n.overrides[t]
+		if !ok {
+			id = n.ring.Owner(t)
+		}
+		tab[t] = n.peers[id] // nil for n.cfg.ID
+	}
+	if len(tenants) == 0 {
+		for t := range tab {
+			set(t)
+		}
+	} else {
+		copy(tab, *n.owners.Load())
+		for _, t := range tenants {
+			set(t)
+		}
+	}
+	n.owners.Store(&tab)
 }
 
 // Local reports whether tenant is currently served by this node's own
@@ -311,178 +352,183 @@ func (n *Node) Ingress(tenant int, msgID uint64, payload []byte) bool {
 	if n.stopped.Load() {
 		return false
 	}
-	owner := n.Owner(tenant)
-	if owner == "" || owner == n.cfg.ID {
-		return n.admit(tenant, msgID, payload)
-	}
-	n.mu.RLock()
-	pr := n.peers[owner]
-	n.mu.RUnlock()
-	if pr == nil {
-		// Owner unknown to us (misconfiguration); serve locally rather
-		// than black-hole the tenant.
-		return n.admit(tenant, msgID, payload)
-	}
-	if !pr.send(uint32(tenant), msgID, payload) {
+	tab := *n.owners.Load()
+	if uint(tenant) >= uint(len(tab)) {
 		return false
 	}
-	n.cm.Forwarded.Add(1)
-	return true
-}
-
-// admit pushes one item into the local plane under the tenant's dedup
-// shard lock, remembering the message id only on acceptance so a
-// backpressured retry is not wrongly suppressed. Ownership is
-// re-checked under the lock: a concurrent handoff flips the override
-// while holding this shard, so an admit that raced the flip either
-// completed before the window snapshot was taken or re-routes to the
-// new owner here — no id can slip between the snapshot and the flip.
-func (n *Node) admit(tenant int, msgID uint64, payload []byte) bool {
-	if tenant < 0 || tenant >= len(n.windows) {
-		return false
-	}
-	if msgID == 0 {
-		return n.plane.Ingress(tenant, payload)
-	}
-	sh := &n.dmu[tenant%dedupShards]
-	sh.Lock()
-	if owner := n.Owner(tenant); owner != "" && owner != n.cfg.ID {
-		n.mu.RLock()
-		pr := n.peers[owner]
-		n.mu.RUnlock()
-		if pr != nil {
-			sh.Unlock()
-			if !pr.send(uint32(tenant), msgID, payload) {
-				return false
-			}
-			n.cm.Forwarded.Add(1)
-			return true
+	if pr := tab[tenant]; pr != nil {
+		if !pr.send(uint32(tenant), msgID, payload) {
+			return false
 		}
-	}
-	w := n.windows[tenant]
-	if w == nil {
-		w = dedup.NewWindow(n.dedupWindow)
-		n.windows[tenant] = w
-	}
-	if w.Seen(msgID) {
-		sh.Unlock()
-		n.cm.RecvDeduped.Add(1)
+		n.cm.Forwarded.Add(1)
 		return true
 	}
-	ok := n.plane.Ingress(tenant, payload)
-	if ok {
-		w.Remember(msgID, 0)
-	}
-	sh.Unlock()
-	return ok
+	a := n.admissions.Get().(*admission)
+	a.add(tenant, msgID, payload)
+	_, rejected := n.admit(a) // one item: admitted, a known duplicate, re-forwarded — or refused
+	n.admissions.Put(a)
+	return rejected == 0
 }
 
-// admitRun feeds one same-tenant run from a received batch into the
-// plane's batched ingress, suppressing duplicate ids under the shard
-// lock. bodies must be owned by the caller (they outlive this call
-// inside the plane's rings). IngressBatch accepts a run as a prefix, so
-// only the accepted prefix's ids are remembered.
-//
-// Ownership is re-checked under the shard lock before admission: a
-// stale sender (one that has not yet processed a handoff marker or a
-// membership change) may ship a tenant this node no longer owns, and
-// those items must re-forward to the current owner WITH their message
-// ids — relaying them anonymously through the plane-level forward would
-// strip the ids and defeat the owner's window, double-delivering any id
-// that also reached the owner directly. Frame order makes the bounce
-// converge: the handoff marker precedes any re-forwarded frame in the
-// peer's FIFO outbox, so the receiving owner admits rather than
-// bouncing back.
-func (n *Node) admitRun(tenant int, ids []uint64, bodies [][]byte, scratch []dataplane.IngressItem) []dataplane.IngressItem {
-	if len(ids) == 0 {
-		return scratch
+// admission is the reusable scratch of one admit call: the decoded items
+// of a received frame (or the single item of a local Ingress), compacted
+// in place to the survivors the plane is offered.
+type admission struct {
+	items []dataplane.IngressItem
+	ids   []uint64 // parallel to items
+	rej   []int    // indexes into items the plane refused
+	stale []staleItem
+	// seen is an open-addressed set of survivor indexes (+1; 0 = empty)
+	// keyed by (tenant, id): ids are remembered only after the plane
+	// accepted them, so a second copy inside the same frame passes the
+	// window probe and has to be caught here.
+	seen []int32
+}
+
+// staleItem is a received item whose tenant another node owns by now.
+type staleItem struct {
+	pr     *peer
+	tenant int
+	id     uint64
+	body   []byte
+}
+
+func (a *admission) add(tenant int, id uint64, body []byte) {
+	a.items = append(a.items, dataplane.IngressItem{Tenant: tenant, Payload: body})
+	a.ids = append(a.ids, id)
+}
+
+// resetSeen sizes the in-frame set for n items, at most half full.
+func (a *admission) resetSeen(n int) {
+	size := 1 << bits.Len(uint(2*max(n, 1)-1))
+	if cap(a.seen) < size {
+		a.seen = make([]int32, size)
+		return
 	}
-	if tenant < 0 || tenant >= len(n.windows) {
-		n.cm.RecvRejected.Add(int64(len(ids)))
-		return scratch
-	}
-	scratch = scratch[:0]
-	sh := &n.dmu[tenant%dedupShards]
-	sh.Lock()
-	if owner := n.Owner(tenant); owner != "" && owner != n.cfg.ID {
-		n.mu.RLock()
-		pr := n.peers[owner]
-		n.mu.RUnlock()
-		if pr != nil {
-			sh.Unlock()
-			fwd := 0
-			for i := range ids {
-				if pr.send(uint32(tenant), ids[i], bodies[i]) {
-					fwd++
-				}
-			}
-			n.cm.Forwarded.Add(int64(fwd))
-			if fwd < len(ids) {
-				n.cm.RecvRejected.Add(int64(len(ids) - fwd))
-			}
-			return scratch
+	a.seen = a.seen[:size]
+	clear(a.seen)
+}
+
+// firstInFrame reports whether no survivor so far (items[:k]) carries
+// (tenant, id), claiming slot k for it if so.
+func (a *admission) firstInFrame(tenant int, id uint64, k int) bool {
+	mask := len(a.seen) - 1
+	for h := int(mix64(id+uint64(tenant)*0x9E3779B97F4A7C15)) & mask; ; h = (h + 1) & mask {
+		j := a.seen[h]
+		if j == 0 {
+			a.seen[h] = int32(k + 1)
+			return true
+		}
+		if a.ids[j-1] == id && a.items[j-1].Tenant == tenant {
+			return false
 		}
 	}
+}
+
+// window returns tenant's dedup window, allocating it on first use.
+// Caller holds the tenant's dedup shard.
+func (n *Node) window(tenant int) *dedup.Window {
 	w := n.windows[tenant]
 	if w == nil {
 		w = dedup.NewWindow(n.dedupWindow)
 		n.windows[tenant] = w
 	}
-	// Duplicates are suppressed against the window AND within the run
-	// itself: ids are only remembered after the batch is accepted, so
-	// two copies in one frame would otherwise both pass the Seen check.
-	var inRun map[uint64]struct{}
-	if len(ids) > 128 {
-		inRun = make(map[uint64]struct{}, len(ids))
-	}
-	kept := make([]uint64, 0, len(ids))
-	for i := range ids {
-		id := ids[i]
-		if id != 0 {
-			if w.Seen(id) {
-				n.cm.RecvDeduped.Add(1)
-				continue
-			}
-			if inRun != nil {
-				if _, dup := inRun[id]; dup {
-					n.cm.RecvDeduped.Add(1)
-					continue
-				}
-				inRun[id] = struct{}{}
-			} else if containsID(kept, id) {
-				n.cm.RecvDeduped.Add(1)
-				continue
-			}
-		}
-		scratch = append(scratch, dataplane.IngressItem{Tenant: tenant, Payload: bodies[i]})
-		kept = append(kept, id)
-	}
-	accepted := 0
-	if len(scratch) > 0 {
-		accepted = n.plane.IngressBatch(scratch)
-		for i := 0; i < accepted && i < len(kept); i++ {
-			if kept[i] != 0 {
-				w.Remember(kept[i], 0)
-			}
-		}
-	}
-	sh.Unlock()
-	n.cm.ReceivedItems.Add(int64(accepted))
-	if rejected := len(scratch) - accepted; rejected > 0 {
-		n.cm.RecvRejected.Add(int64(rejected))
-	}
-	return scratch
+	return w
 }
 
-// containsID is the small-run duplicate scan (runs are sender batches,
-// a few dozen items; the map path above covers hand-crafted big runs).
-func containsID(ids []uint64, id uint64) bool {
-	for _, v := range ids {
-		if v == id {
-			return true
+// admit is the one admission path, for a received frame and for a local
+// Ingress alike. It takes the dedup shard of every tenant in a — in
+// ascending shard order, so concurrent frames cannot deadlock — then,
+// under those locks: checks ownership against the owner table, drops
+// ids the tenant's window (or an earlier item of a) has seen, offers the
+// survivors to the plane in ONE IngressBatch, and remembers exactly the
+// ids the plane accepted, so a backpressured retry is not wrongly
+// suppressed. The locks stay held across the plane call: that is what
+// makes "probe, push, remember" atomic per tenant, and it keeps one
+// producer at a time on each tenant's (possibly SPSC) ingress ring.
+//
+// Ownership is checked under the shard because a handoff flips the
+// override while holding it: an admit that raced the flip either
+// completed before the window snapshot was taken or sees the new owner
+// here — no id can slip between the snapshot and the flip. Items of a
+// stale sender (one that has not yet processed a handoff marker or a
+// membership change) re-forward to the current owner once the locks are
+// released, WITH their message ids — relaying them anonymously through
+// the plane-level forward would strip the ids and defeat the owner's
+// window, double-delivering any id that also reached the owner directly.
+// Frame order makes the bounce converge: the handoff marker precedes any
+// re-forwarded frame in the peer's FIFO outbox, so the receiving owner
+// admits rather than bouncing back.
+//
+// It returns how many items the plane accepted and how many were refused
+// (bad tenant, ring full, or a stale item its owner's bridge would not
+// take); the rest were duplicates or re-forwarded, and are counted in
+// RecvDeduped and Forwarded here. a is left empty.
+func (n *Node) admit(a *admission) (accepted, rejected int) {
+	var mask uint64
+	for i := range a.items {
+		if t := a.items[i].Tenant; uint(t) < uint(len(n.windows)) {
+			mask |= 1 << (uint(t) % dedupShards)
 		}
 	}
-	return false
+	for m := mask; m != 0; m &= m - 1 {
+		n.dmu[bits.TrailingZeros64(m)].Lock()
+	}
+	tab := *n.owners.Load()
+	decoded := len(a.items)
+	a.resetSeen(decoded)
+	deduped, forwarded := 0, 0
+	k := 0 // survivors so far, compacted to the front of items/ids
+	for i := 0; i < decoded; i++ {
+		it, id := a.items[i], a.ids[i]
+		if uint(it.Tenant) >= uint(len(n.windows)) {
+			rejected++
+			continue
+		}
+		if pr := tab[it.Tenant]; pr != nil {
+			a.stale = append(a.stale, staleItem{pr, it.Tenant, id, it.Payload})
+			continue
+		}
+		if id != 0 && (n.window(it.Tenant).Seen(id) || !a.firstInFrame(it.Tenant, id, k)) {
+			deduped++
+			continue
+		}
+		a.items[k], a.ids[k] = it, id
+		k++
+	}
+	if k > 0 {
+		accepted, a.rej = n.plane.IngressBatchRejected(a.items[:k], a.rej[:0])
+		rejected += len(a.rej)
+		r := 0
+		for i, id := range a.ids[:k] {
+			if r < len(a.rej) && a.rej[r] == i {
+				r++
+			} else if id != 0 {
+				n.windows[a.items[i].Tenant].Remember(id, 0)
+			}
+		}
+	}
+	for m := mask; m != 0; m &= m - 1 {
+		n.dmu[bits.TrailingZeros64(m)].Unlock()
+	}
+	for _, st := range a.stale {
+		if st.pr.send(uint32(st.tenant), st.id, st.body) {
+			forwarded++
+		} else {
+			rejected++
+		}
+	}
+	if deduped > 0 {
+		n.cm.RecvDeduped.Add(int64(deduped))
+	}
+	if forwarded > 0 {
+		n.cm.Forwarded.Add(int64(forwarded))
+	}
+	// Drop the payload references: the scratch outlives the frame.
+	clear(a.items[:decoded])
+	clear(a.stale)
+	a.items, a.ids, a.stale = a.items[:0], a.ids[:0], a.stale[:0]
+	return accepted, rejected
 }
 
 // Handoff gracefully transfers a tenant to peer `to`: ship the
@@ -495,7 +541,7 @@ func containsID(ids []uint64, id uint64) bool {
 // forwarded duplicate in the outbox, so the new owner's window is
 // primed before traffic arrives. Until membership changes, other nodes
 // keep sending to this node; those bridge arrivals re-forward to the
-// new owner with their message ids intact (admitRun's ownership
+// new owner with their message ids intact (admit's ownership
 // re-check), while the plane-level forward installed here relays only
 // raw local producers — anonymous items that never had an id.
 //
@@ -524,6 +570,7 @@ func (n *Node) Handoff(ctx context.Context, tenant int, to string) error {
 	n.mu.Lock()
 	n.overrides[tenant] = to
 	n.fwdTo[tenant] = to
+	n.publishOwnersLocked(tenant)
 	n.mu.Unlock()
 	sh.Unlock()
 
@@ -542,6 +589,7 @@ func (n *Node) Handoff(ctx context.Context, tenant int, to string) error {
 		n.mu.Lock()
 		delete(n.overrides, tenant)
 		delete(n.fwdTo, tenant)
+		n.publishOwnersLocked(tenant)
 		n.mu.Unlock()
 		return err
 	}
@@ -585,11 +633,7 @@ func (n *Node) primeWindow(tenant int, ids []uint64) {
 	}
 	sh := &n.dmu[tenant%dedupShards]
 	sh.Lock()
-	w := n.windows[tenant]
-	if w == nil {
-		w = dedup.NewWindow(n.dedupWindow)
-		n.windows[tenant] = w
-	}
+	w := n.window(tenant)
 	for _, id := range ids {
 		if id != 0 {
 			w.Remember(id, 0)
@@ -606,6 +650,7 @@ func (n *Node) acceptHandoff(tenant int, from string) {
 		delete(n.fwdTo, tenant)
 		n.plane.SetTenantForward(tenant, nil)
 	}
+	n.publishOwnersLocked(tenant)
 	n.mu.Unlock()
 	n.cm.HandoffsInbound.Add(1)
 	n.logf("cluster: accepted ownership of tenant %d from %s", tenant, from)
@@ -619,18 +664,19 @@ func (n *Node) acceptHandoff(tenant int, from string) {
 // override target and the new ring owner, with divergent dedup windows.
 // Dropping them falls everything back to ring ownership, which all
 // nodes compute identically; in-flight traffic bounces converge through
-// admitRun's ownership re-check, and identified duplicates die in the
-// owner's window. Caller holds n.mu.
+// admit's ownership re-check, and identified duplicates die in the
+// owner's window. The owner table is republished against the new ring
+// either way. Caller holds n.mu for writing.
 func (n *Node) clearOverridesLocked() {
-	if len(n.overrides) == 0 && len(n.fwdTo) == 0 {
-		return
+	if len(n.overrides) != 0 || len(n.fwdTo) != 0 {
+		n.logf("cluster: membership change invalidates %d handoff override(s)", len(n.overrides))
+		clear(n.overrides)
+		for t := range n.fwdTo {
+			delete(n.fwdTo, t)
+			n.plane.SetTenantForward(t, nil)
+		}
 	}
-	n.logf("cluster: membership change invalidates %d handoff override(s)", len(n.overrides))
-	clear(n.overrides)
-	for t := range n.fwdTo {
-		delete(n.fwdTo, t)
-		n.plane.SetTenantForward(t, nil)
-	}
+	n.publishOwnersLocked()
 }
 
 // peerUp re-admits a peer to the ring once a pong proves it alive.
@@ -659,8 +705,8 @@ func (n *Node) peerDown(id string) {
 		return
 	}
 	rehomed := 0
-	for t := 0; t < n.plane.Tenants(); t++ {
-		if n.ring.Owner(t) == id {
+	for _, pr := range *n.owners.Load() {
+		if pr != nil && pr.id == id {
 			rehomed++
 		}
 	}
@@ -695,7 +741,7 @@ func (n *Node) acceptLoop() {
 }
 
 // serveInbound decodes one peer's frame stream: batches feed the local
-// plane run by run, pings are answered in place, a handoff marker
+// plane a frame at a time, pings are answered in place, a handoff marker
 // transfers ownership. Frame-level corruption drops the connection —
 // the sender's outbox and the dedup window make the retry safe.
 func (n *Node) serveInbound(conn net.Conn) {
@@ -708,9 +754,7 @@ func (n *Node) serveInbound(conn net.Conn) {
 	}()
 	r := frame.NewReader(conn, n.maxPayload)
 	remote := "?"
-	var scratch []dataplane.IngressItem
-	var ids []uint64
-	var bodies [][]byte
+	var a admission
 	for {
 		h, payload, err := r.Next()
 		if err != nil {
@@ -738,28 +782,7 @@ func (n *Node) serveInbound(conn net.Conn) {
 		case frame.TypeBatch:
 			n.cm.ReceivedBatches.Add(1)
 			n.cm.ReceivedBytes.Add(int64(len(payload)))
-			// One copy owns every item in the frame: the plane keeps
-			// payload views into it, the reader's buffer is reused.
-			owned := append([]byte(nil), payload...)
-			it := frame.IterBatch(owned)
-			runTenant := -1
-			ids, bodies = ids[:0], bodies[:0]
-			for {
-				t, id, body, ok := it.Next()
-				if !ok {
-					break
-				}
-				if int(t) != runTenant {
-					scratch = n.admitRun(runTenant, ids, bodies, scratch)
-					ids, bodies = ids[:0], bodies[:0]
-					runTenant = int(t)
-				}
-				ids = append(ids, id)
-				bodies = append(bodies, body)
-			}
-			scratch = n.admitRun(runTenant, ids, bodies, scratch)
-			if it.Err() != nil {
-				n.cm.FrameErrors.Add(1)
+			if !n.receiveBatch(&a, payload) {
 				return
 			}
 		case frame.TypeHandoff:
@@ -778,6 +801,33 @@ func (n *Node) serveInbound(conn net.Conn) {
 			n.primeWindow(int(tenant), stateIDs)
 		}
 	}
+}
+
+// receiveBatch admits one received Batch frame. The frame is the unit
+// of admission: decoded whole into a, then admitted in one pass. One
+// copy owns every item in it — the plane keeps payload views into that
+// copy, the reader's buffer is reused. A frame that passed its CRC but
+// does not parse is refused whole and false returned: the connection
+// must drop.
+func (n *Node) receiveBatch(a *admission, payload []byte) bool {
+	it := frame.IterBatch(append([]byte(nil), payload...))
+	for {
+		t, id, body, ok := it.Next()
+		if !ok {
+			break
+		}
+		a.add(int(t), id, body)
+	}
+	if it.Err() != nil {
+		n.cm.FrameErrors.Add(1)
+		return false
+	}
+	accepted, rejected := n.admit(a)
+	n.cm.ReceivedItems.Add(int64(accepted))
+	if rejected > 0 {
+		n.cm.RecvRejected.Add(int64(rejected))
+	}
+	return true
 }
 
 // isFrameErr reports whether err came from frame validation (as opposed
